@@ -266,51 +266,19 @@ pub struct GenStats {
     /// Worker threads the run actually used (1 for the sequential
     /// algorithms; the effective thread count for `par_enum_qgen`).
     pub threads_used: u64,
-    /// Candidate sets served from the sorted value index.
-    pub index_candidates: u64,
-    /// Candidate sets computed by label-population scan (reference path
-    /// or hybrid fallback).
-    pub scan_candidates: u64,
-    /// Indexed candidate computations that fell back to the scan because
-    /// the most selective literal was non-selective.
-    pub scan_fallbacks: u64,
-    /// Candidate sets restricted to an `incVerify` pool instead of the
-    /// label population.
-    pub pool_restrictions: u64,
-    /// Postings shards skipped wholesale by partition metadata during
-    /// indexed range evaluation.
-    pub shard_skips: u64,
+    /// Matcher hot-path counters (candidate paths, ordering, pruning,
+    /// memo hits) summed over the run's verifications.
+    pub matcher: MatcherStats,
     /// Pairwise distances served from the diversity measure's cache.
     pub distance_cache_hits: u64,
     /// Pairwise distances computed cold by the diversity measure.
     pub distance_cache_misses: u64,
-    /// Cost-based matching orders planned from index cardinality
-    /// estimates (amortized by the service's warm plan pool).
-    pub order_planned: u64,
-    /// Adaptive mid-enumeration suffix re-plans.
-    pub order_replans: u64,
-    /// Summed estimated candidate cardinalities over planned orders.
-    pub est_candidates: u64,
-    /// Candidates removed by semi-join pruning before backtracking.
-    pub pruned_candidates: u64,
-    /// Candidate sets served from the matcher's cross-call memo instead
-    /// of being recomputed.
-    pub cand_memo_hits: u64,
 }
 
 impl GenStats {
     /// Folds matcher and measure hot-path counters into the stats block.
     pub fn record_hot_path(&mut self, matcher: MatcherStats, measure: MeasureCacheStats) {
-        self.index_candidates += matcher.index_candidates;
-        self.scan_candidates += matcher.scan_candidates;
-        self.scan_fallbacks += matcher.scan_fallbacks;
-        self.pool_restrictions += matcher.pool_restrictions;
-        self.shard_skips += matcher.shard_skips;
-        self.order_planned += matcher.order_planned;
-        self.order_replans += matcher.order_replans;
-        self.est_candidates += matcher.est_candidates;
-        self.pruned_candidates += matcher.pruned_candidates;
-        self.cand_memo_hits += matcher.cand_memo_hits;
+        self.matcher.merge(matcher);
         self.distance_cache_hits += measure.distance_hits;
         self.distance_cache_misses += measure.distance_misses;
     }

@@ -340,10 +340,10 @@ mod tests {
             assert_eq!(a.objectives().fcov.to_bits(), b.objectives().fcov.to_bits());
         }
         // The reference path must not touch the index or distance cache.
-        assert_eq!(slow.stats.index_candidates, 0);
+        assert_eq!(slow.stats.matcher.index_candidates, 0);
         assert_eq!(slow.stats.distance_cache_hits, 0);
         assert_eq!(slow.stats.distance_cache_misses, 0);
-        assert!(fast.stats.index_candidates > 0 || fast.stats.scan_fallbacks > 0);
+        assert!(fast.stats.matcher.index_candidates > 0 || fast.stats.matcher.scan_fallbacks > 0);
     }
 
     /// The archive fingerprint — instances, bit-level objectives, and

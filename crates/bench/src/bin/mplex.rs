@@ -10,8 +10,8 @@
 //!
 //! The benchmark compares the readiness-driven multiplexed core (one
 //! event-loop thread, N clients on one connection each with every job in
-//! flight) against the thread-per-connection blocking baseline, at 64 and
-//! 256 clients on the `full` preset. Before any timing it asserts that
+//! flight) against the thread-per-connection blocking baseline, at 1, 4,
+//! 16, 64 and 256 clients on the `full` preset. Before any timing it asserts that
 //! streamed delta frames reassemble bit-identically to the `result` op's
 //! archive (including a deadline-truncated job) and aborts otherwise.
 

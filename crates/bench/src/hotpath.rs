@@ -111,10 +111,16 @@ fn seq_ab(cfg: Configuration<'_>, algo: Algo, what: &str) -> Value {
         ),
         (
             "index_candidate_share",
-            Value::from(rate(s.index_candidates, s.scan_candidates)),
+            Value::from(rate(s.matcher.index_candidates, s.matcher.scan_candidates)),
         ),
-        ("scan_fallbacks", Value::from(s.scan_fallbacks as i64)),
-        ("pool_restrictions", Value::from(s.pool_restrictions as i64)),
+        (
+            "scan_fallbacks",
+            Value::from(s.matcher.scan_fallbacks as i64),
+        ),
+        (
+            "pool_restrictions",
+            Value::from(s.matcher.pool_restrictions as i64),
+        ),
         ("entries", Value::from(opt_out.entries.len() as i64)),
     ])
 }

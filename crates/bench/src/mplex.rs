@@ -12,8 +12,8 @@
 //! jobs/sec figures in `BENCH_PR8.json` are for provably identical
 //! delivery.
 //!
-//! Both phases run the same closed population: N clients × J jobs each,
-//! every job client-unique in λ (coalescing and the result cache are off,
+//! Both phases run the same closed population: N clients × J jobs each
+//! (J per sweep row), every job client-unique in λ (coalescing and the result cache are off,
 //! so nothing is deduplicated away and both sides execute every job).
 
 use fairsqg_datagen::{social_graph, SocialConfig};
@@ -38,28 +38,31 @@ pub struct MplexOptions {
     pub directors: usize,
     /// Engine worker threads (same in both modes).
     pub workers: usize,
-    /// Jobs each client submits.
-    pub jobs_per_client: usize,
-    /// Concurrent-client counts swept (one connection per client in both
-    /// modes; the mux mode keeps every client's jobs in flight on its
-    /// single connection).
-    pub client_sweep: Vec<usize>,
+    /// Swept `(clients, jobs per client)` rows: one connection per
+    /// client in both modes; the mux mode keeps every client's jobs in
+    /// flight on its single connection.
+    pub client_sweep: Vec<(usize, usize)>,
 }
 
 /// Resolves a preset by name (`smoke`, `full`).
 pub fn preset(name: &str) -> Option<MplexOptions> {
-    let (directors, workers, jobs_per_client, client_sweep) = match name {
+    let (directors, workers, client_sweep) = match name {
         // CI smoke: completion + the streamed-vs-final equivalence gate.
-        "smoke" => (40, 2, 2, vec![8]),
-        // The PR-8 acceptance sweep: 64 and 256 clients.
-        "full" => (60, 4, 8, vec![64, 256]),
+        "smoke" => (40, 2, vec![(8, 2)]),
+        // Few clients with ≥1024 jobs per row (a p99 from at least ten
+        // samples above it), then the PR-8 acceptance rows: 64 and 256
+        // clients × 8 jobs.
+        "full" => (
+            60,
+            4,
+            vec![(1, 1024), (4, 256), (16, 256), (64, 8), (256, 8)],
+        ),
         _ => return None,
     };
     Some(MplexOptions {
         preset: name.to_string(),
         directors,
         workers,
-        jobs_per_client,
         client_sweep,
     })
 }
@@ -196,7 +199,7 @@ fn finish_phase(
 /// Baseline phase: thread-per-connection server, N blocking clients,
 /// batched submits then polling waits (exactly the PR-5 bench's client
 /// discipline).
-fn run_baseline(opts: &MplexOptions, clients: usize) -> Phase {
+fn run_baseline(opts: &MplexOptions, clients: usize, jobs: usize) -> Phase {
     let registry = Arc::new(GraphRegistry::new());
     registry.insert("bench", bench_graph(opts));
     let engine = Arc::new(Engine::start(registry, engine_config(opts.workers)));
@@ -207,7 +210,6 @@ fn run_baseline(opts: &MplexOptions, clients: usize) -> Phase {
     let handles: Vec<_> = (0..clients)
         .map(|c| {
             let addr = addr.clone();
-            let jobs = opts.jobs_per_client;
             std::thread::spawn(move || {
                 let mut client = Client::connect(&addr).expect("connect");
                 let mut pending = Vec::with_capacity(jobs);
@@ -235,19 +237,13 @@ fn run_baseline(opts: &MplexOptions, clients: usize) -> Phase {
     stop.stop();
     let _ = server.join();
     engine.shutdown();
-    finish_phase(
-        latencies_ms,
-        wall_secs,
-        clients * opts.jobs_per_client,
-        0,
-        0,
-    )
+    finish_phase(latencies_ms, wall_secs, clients * jobs, 0, 0)
 }
 
 /// Mux phase: one event-loop thread serves every connection; each client
 /// keeps all its jobs in flight as subscriptions on one connection and
 /// settlement is pushed, not polled.
-fn run_mux(opts: &MplexOptions, clients: usize) -> Phase {
+fn run_mux(opts: &MplexOptions, clients: usize, jobs: usize) -> Phase {
     let registry = Arc::new(GraphRegistry::new());
     registry.insert("bench", bench_graph(opts));
     let engine = Arc::new(Engine::start(registry, engine_config(opts.workers)));
@@ -259,7 +255,6 @@ fn run_mux(opts: &MplexOptions, clients: usize) -> Phase {
     let handles: Vec<_> = (0..clients)
         .map(|c| {
             let addr = addr.clone();
-            let jobs = opts.jobs_per_client;
             std::thread::spawn(move || {
                 let client = MuxClient::connect(&addr).expect("connect mux");
                 let mut pending = Vec::with_capacity(jobs);
@@ -305,7 +300,7 @@ fn run_mux(opts: &MplexOptions, clients: usize) -> Phase {
     finish_phase(
         latencies_ms,
         wall_secs,
-        clients * opts.jobs_per_client,
+        clients * jobs,
         deltas_streamed,
         lossy_results,
     )
@@ -347,9 +342,9 @@ pub fn run_mplex(opts: &MplexOptions) -> Value {
         }
         best
     };
-    for &clients in &opts.client_sweep {
-        let baseline = best_of(&|| run_baseline(opts, clients));
-        let mux = best_of(&|| run_mux(opts, clients));
+    for &(clients, jobs) in &opts.client_sweep {
+        let baseline = best_of(&|| run_baseline(opts, clients, jobs));
+        let mux = best_of(&|| run_mux(opts, clients, jobs));
         let speedup = if baseline.jobs_per_sec > 0.0 {
             mux.jobs_per_sec / baseline.jobs_per_sec
         } else {
@@ -363,6 +358,7 @@ pub fn run_mplex(opts: &MplexOptions) -> Value {
         }
         sweep.push(Value::object([
             ("clients", Value::from(clients as i64)),
+            ("jobs_per_client", Value::from(jobs as i64)),
             ("thread_per_conn", phase_value(&baseline, false)),
             ("mux", phase_value(&mux, true)),
             ("mux_speedup", Value::from(speedup)),
@@ -380,7 +376,6 @@ pub fn run_mplex(opts: &MplexOptions) -> Value {
             Value::from(crate::common::clamped(opts.workers)),
         ),
         ("directors", Value::from(opts.directors as i64)),
-        ("jobs_per_client", Value::from(opts.jobs_per_client as i64)),
         (
             "equivalence",
             Value::object([

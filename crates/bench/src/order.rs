@@ -207,10 +207,10 @@ fn archive_gate(cfg: Configuration<'_>, algo: Algo, what: &str) -> Value {
     let gate_opt = crate::common::run(cfg, algo, false);
     assert_identical(&gate_ref, &gate_base, what);
     assert_identical(&gate_base, &gate_opt, what);
-    let s = &gate_opt.stats;
+    let s = &gate_opt.stats.matcher;
     Value::object([
         ("entries", Value::from(gate_opt.entries.len() as i64)),
-        ("verified", Value::from(s.verified as i64)),
+        ("verified", Value::from(gate_opt.stats.verified as i64)),
         ("order_planned", Value::from(s.order_planned as i64)),
         ("order_replans", Value::from(s.order_replans as i64)),
         ("est_candidates", Value::from(s.est_candidates as i64)),

@@ -279,7 +279,7 @@ pub fn try_match_output_set_with(
             c.clear();
             c.extend_from_slice(&memo[u.index()][i].cand);
             memo_src[slot] = Some((u.index(), i));
-            stats::count_cand_memo_hits();
+            stats::count(|s| &mut s.cand_memo_hits, 1);
         } else {
             let compute = if opts.use_index {
                 candidates_into
@@ -538,7 +538,7 @@ pub fn try_match_output_set_with(
             if total >= REPLAN_FAIL_THRESHOLD && total >= REPLAN_FAILS_PER_ROOT * roots_since_plan {
                 replans_attempted += 1;
                 if replan_suffix(query, &active, cand, order, fails) {
-                    stats::count_order_replans();
+                    stats::count(|s| &mut s.order_replans, 1);
                     for (pos, &slot) in order.iter().enumerate() {
                         membership[pos] = membership_by_slot[slot];
                     }
@@ -749,7 +749,10 @@ fn prune_root(
                     })
                 });
             }
-            stats::count_pruned_candidates((before - rootset.len()) as u64);
+            stats::count(
+                |s| &mut s.pruned_candidates,
+                (before - rootset.len()) as u64,
+            );
             cand[root] = rootset;
             charge_steps(steps, visited, budget)?;
             if cand[root].is_empty() {
@@ -805,7 +808,7 @@ fn semi_join(
     image.dedup();
     let kept = gallop_intersect(&cand[tgt], image);
     let removed = target_len - kept.len();
-    stats::count_pruned_candidates(removed as u64);
+    stats::count(|s| &mut s.pruned_candidates, removed as u64);
     cand[tgt] = kept;
     Ok(!cand[tgt].is_empty())
 }

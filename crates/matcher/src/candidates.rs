@@ -65,7 +65,7 @@ pub(crate) fn candidates_into(
     let node = &query.nodes[u.index()];
     let population = graph.nodes_with_label(node.label);
     if node.literals.is_empty() {
-        stats::count_index_candidates();
+        stats::count(|s| &mut s.index_candidates, 1);
         out.extend_from_slice(population);
         return;
     }
@@ -78,28 +78,28 @@ pub(crate) fn candidates_into(
     let mut ranges = Vec::with_capacity(node.literals.len());
     for l in &node.literals {
         let Some(p) = graph.attr_index().postings(node.label, l.attr) else {
-            stats::count_index_candidates();
+            stats::count(|s| &mut s.index_candidates, 1);
             return;
         };
         let shards = graph.partitions().shards(node.label, l.attr);
         let (slice, skipped) = p.range_sharded(l.op, l.value, shards);
-        stats::count_shard_skips(skipped as u64);
+        stats::count(|s| &mut s.shard_skips, skipped as u64);
         ranges.push((slice, l));
     }
     ranges.sort_by_key(|(slice, _)| slice.len());
     if ranges[0].0.is_empty() {
-        stats::count_index_candidates();
+        stats::count(|s| &mut s.index_candidates, 1);
         return;
     }
 
     // Hybrid fallback: a near-population slice makes the sort below more
     // expensive than the linear scan it replaces.
     if ranges[0].0.len() * SCAN_FALLBACK_DEN >= population.len() * SCAN_FALLBACK_NUM {
-        stats::count_scan_fallback();
+        stats::count(|s| &mut s.scan_fallbacks, 1);
         candidates_scan_into(graph, query, u, out);
         return;
     }
-    stats::count_index_candidates();
+    stats::count(|s| &mut s.index_candidates, 1);
 
     // Seed from the most selective slice. Slices are sorted by (value,
     // node), so the extracted node ids must be re-sorted.
@@ -139,7 +139,7 @@ pub(crate) fn candidates_scan_into(
     u: QNodeId,
     out: &mut Vec<NodeId>,
 ) {
-    stats::count_scan_candidates();
+    stats::count(|s| &mut s.scan_candidates, 1);
     let node = &query.nodes[u.index()];
     out.clear();
     out.extend(
@@ -180,7 +180,7 @@ pub(crate) fn candidates_from_pool_into(
     pool: &[NodeId],
     out: &mut Vec<NodeId>,
 ) {
-    stats::count_pool_restriction();
+    stats::count(|s| &mut s.pool_restrictions, 1);
     let node = &query.nodes[u.index()];
     debug_assert!(
         pool.iter().all(|&v| graph.label(v) == node.label),

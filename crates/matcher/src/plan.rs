@@ -129,8 +129,8 @@ pub fn plan_matching_order(graph: &Graph, query: &ConcreteQuery) -> MatchPlan {
         order.push(active[slot]);
         estimates.push(e);
     }
-    stats::count_order_planned();
-    stats::count_est_candidates(estimates.iter().sum());
+    stats::count(|s| &mut s.order_planned, 1);
+    stats::count(|s| &mut s.est_candidates, estimates.iter().sum());
     MatchPlan { order, estimates }
 }
 

@@ -6,188 +6,111 @@
 //! counters; callers snapshot-and-reset around a unit of work with
 //! [`take_stats`] and merge the deltas into their own accounting (e.g.
 //! `GenStats` in `fairsqg-algo`).
+//!
+//! Every counter is declared once, in the `matcher_stats!` list below:
+//! the struct, [`MatcherStats::merge`], [`MatcherStats::delta_since`] and
+//! the `(name, value)` view that the service's `matching` blocks and
+//! Prometheus counters are built from all follow from it.
 
 use std::cell::Cell;
 
-/// Snapshot of the matcher's hot-path counters on the current thread.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MatcherStats {
+/// Declares [`MatcherStats`] and its field-wise operations from one list
+/// of documented `u64` counters.
+macro_rules! matcher_stats {
+    ($($(#[doc = $doc:literal])+ $field:ident,)+) => {
+        /// Snapshot of the matcher's hot-path counters on the current thread.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct MatcherStats {
+            $($(#[doc = $doc])+ pub $field: u64,)+
+        }
+
+        impl MatcherStats {
+            const ZERO: MatcherStats = MatcherStats { $($field: 0,)+ };
+
+            /// Field-wise sum, for merging per-thread deltas.
+            pub fn merge(&mut self, other: MatcherStats) {
+                $(self.$field += other.$field;)+
+            }
+
+            /// Field-wise difference from an earlier snapshot of the same
+            /// thread's counters (counters are monotone, so saturation
+            /// only guards against mixing snapshots across threads).
+            pub fn delta_since(&self, baseline: MatcherStats) -> MatcherStats {
+                MatcherStats {
+                    $($field: self.$field.saturating_sub(baseline.$field),)+
+                }
+            }
+
+            /// Every counter as `(field name, value)`, in declaration order.
+            pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($field), self.$field),)+].into_iter()
+            }
+        }
+    };
+}
+
+matcher_stats! {
     /// Candidate sets served from the sorted `(label, attribute)` value
     /// index (binary-searched range slices).
-    pub index_candidates: u64,
+    index_candidates,
     /// Candidate sets computed by the naive label-population scan — the
     /// reference path, plus hybrid fallbacks for non-selective literals.
-    pub scan_candidates: u64,
+    scan_candidates,
     /// Indexed computations that fell back to the scan because the most
     /// selective literal still covered most of the label population.
-    pub scan_fallbacks: u64,
+    scan_fallbacks,
     /// Candidate sets restricted to an `incVerify` pool (the parent's
     /// output match set) instead of the full label population.
-    pub pool_restrictions: u64,
+    pool_restrictions,
     /// Postings shards skipped wholesale by partition metadata during
     /// indexed range evaluation (their `[min, max]` envelope lay entirely
     /// on one side of the literal's boundary).
-    pub shard_skips: u64,
+    shard_skips,
     /// Cost-based matching orders planned from index cardinality
     /// estimates (once per template shape, amortized by plan caching).
-    pub order_planned: u64,
+    order_planned,
     /// Mid-enumeration suffix re-plans triggered by the adaptive
     /// fail-count threshold (QuickSI/RI-style reordering).
-    pub order_replans: u64,
+    order_replans,
     /// Sum of estimated candidate cardinalities over all planned orders
     /// (the cost model's inputs, for observing estimate magnitudes).
-    pub est_candidates: u64,
+    est_candidates,
     /// Candidates removed from per-node candidate sets by the one-hop
     /// semi-join pruning pass before backtracking.
-    pub pruned_candidates: u64,
+    pruned_candidates,
     /// Candidate sets served from the cross-call memo (same node label
     /// and bound literals seen before on this graph) instead of being
     /// recomputed from the index or a scan.
-    pub cand_memo_hits: u64,
-}
-
-impl MatcherStats {
-    /// Field-wise sum, for merging per-thread deltas.
-    pub fn merge(&mut self, other: MatcherStats) {
-        self.index_candidates += other.index_candidates;
-        self.scan_candidates += other.scan_candidates;
-        self.scan_fallbacks += other.scan_fallbacks;
-        self.pool_restrictions += other.pool_restrictions;
-        self.shard_skips += other.shard_skips;
-        self.order_planned += other.order_planned;
-        self.order_replans += other.order_replans;
-        self.est_candidates += other.est_candidates;
-        self.pruned_candidates += other.pruned_candidates;
-        self.cand_memo_hits += other.cand_memo_hits;
-    }
-
-    /// Field-wise difference from an earlier snapshot of the same
-    /// thread's counters (counters are monotone, so saturation only
-    /// guards against mixing snapshots across threads).
-    pub fn delta_since(&self, baseline: MatcherStats) -> MatcherStats {
-        MatcherStats {
-            index_candidates: self
-                .index_candidates
-                .saturating_sub(baseline.index_candidates),
-            scan_candidates: self
-                .scan_candidates
-                .saturating_sub(baseline.scan_candidates),
-            scan_fallbacks: self.scan_fallbacks.saturating_sub(baseline.scan_fallbacks),
-            pool_restrictions: self
-                .pool_restrictions
-                .saturating_sub(baseline.pool_restrictions),
-            shard_skips: self.shard_skips.saturating_sub(baseline.shard_skips),
-            order_planned: self.order_planned.saturating_sub(baseline.order_planned),
-            order_replans: self.order_replans.saturating_sub(baseline.order_replans),
-            est_candidates: self.est_candidates.saturating_sub(baseline.est_candidates),
-            pruned_candidates: self
-                .pruned_candidates
-                .saturating_sub(baseline.pruned_candidates),
-            cand_memo_hits: self.cand_memo_hits.saturating_sub(baseline.cand_memo_hits),
-        }
-    }
+    cand_memo_hits,
 }
 
 thread_local! {
-    static INDEX_CANDIDATES: Cell<u64> = const { Cell::new(0) };
-    static SCAN_CANDIDATES: Cell<u64> = const { Cell::new(0) };
-    static SCAN_FALLBACKS: Cell<u64> = const { Cell::new(0) };
-    static POOL_RESTRICTIONS: Cell<u64> = const { Cell::new(0) };
-    static SHARD_SKIPS: Cell<u64> = const { Cell::new(0) };
-    static ORDER_PLANNED: Cell<u64> = const { Cell::new(0) };
-    static ORDER_REPLANS: Cell<u64> = const { Cell::new(0) };
-    static EST_CANDIDATES: Cell<u64> = const { Cell::new(0) };
-    static PRUNED_CANDIDATES: Cell<u64> = const { Cell::new(0) };
-    static CAND_MEMO_HITS: Cell<u64> = const { Cell::new(0) };
+    static STATS: Cell<MatcherStats> = const { Cell::new(MatcherStats::ZERO) };
 }
 
+/// Adds `n` to one of the current thread's counters, e.g.
+/// `count(|s| &mut s.shard_skips, skipped)`. Zero increments skip the
+/// thread-local access.
 #[inline]
-pub(crate) fn count_index_candidates() {
-    INDEX_CANDIDATES.with(|c| c.set(c.get() + 1));
-}
-
-#[inline]
-pub(crate) fn count_scan_candidates() {
-    SCAN_CANDIDATES.with(|c| c.set(c.get() + 1));
-}
-
-#[inline]
-pub(crate) fn count_scan_fallback() {
-    SCAN_FALLBACKS.with(|c| c.set(c.get() + 1));
-}
-
-#[inline]
-pub(crate) fn count_pool_restriction() {
-    POOL_RESTRICTIONS.with(|c| c.set(c.get() + 1));
-}
-
-#[inline]
-pub(crate) fn count_shard_skips(n: u64) {
+pub(crate) fn count(field: impl FnOnce(&mut MatcherStats) -> &mut u64, n: u64) {
     if n > 0 {
-        SHARD_SKIPS.with(|c| c.set(c.get() + n));
+        STATS.with(|c| {
+            let mut s = c.get();
+            *field(&mut s) += n;
+            c.set(s);
+        });
     }
-}
-
-#[inline]
-pub(crate) fn count_order_planned() {
-    ORDER_PLANNED.with(|c| c.set(c.get() + 1));
-}
-
-#[inline]
-pub(crate) fn count_order_replans() {
-    ORDER_REPLANS.with(|c| c.set(c.get() + 1));
-}
-
-#[inline]
-pub(crate) fn count_est_candidates(n: u64) {
-    if n > 0 {
-        EST_CANDIDATES.with(|c| c.set(c.get() + n));
-    }
-}
-
-#[inline]
-pub(crate) fn count_pruned_candidates(n: u64) {
-    if n > 0 {
-        PRUNED_CANDIDATES.with(|c| c.set(c.get() + n));
-    }
-}
-
-#[inline]
-pub(crate) fn count_cand_memo_hits() {
-    CAND_MEMO_HITS.with(|c| c.set(c.get() + 1));
 }
 
 /// Current thread's counters without resetting them.
 pub fn matcher_stats() -> MatcherStats {
-    MatcherStats {
-        index_candidates: INDEX_CANDIDATES.with(Cell::get),
-        scan_candidates: SCAN_CANDIDATES.with(Cell::get),
-        scan_fallbacks: SCAN_FALLBACKS.with(Cell::get),
-        pool_restrictions: POOL_RESTRICTIONS.with(Cell::get),
-        shard_skips: SHARD_SKIPS.with(Cell::get),
-        order_planned: ORDER_PLANNED.with(Cell::get),
-        order_replans: ORDER_REPLANS.with(Cell::get),
-        est_candidates: EST_CANDIDATES.with(Cell::get),
-        pruned_candidates: PRUNED_CANDIDATES.with(Cell::get),
-        cand_memo_hits: CAND_MEMO_HITS.with(Cell::get),
-    }
+    STATS.with(Cell::get)
 }
 
 /// Snapshots and resets the current thread's counters. Call before and
 /// after a unit of work to attribute counts to it.
 pub fn take_stats() -> MatcherStats {
-    MatcherStats {
-        index_candidates: INDEX_CANDIDATES.with(|c| c.replace(0)),
-        scan_candidates: SCAN_CANDIDATES.with(|c| c.replace(0)),
-        scan_fallbacks: SCAN_FALLBACKS.with(|c| c.replace(0)),
-        pool_restrictions: POOL_RESTRICTIONS.with(|c| c.replace(0)),
-        shard_skips: SHARD_SKIPS.with(|c| c.replace(0)),
-        order_planned: ORDER_PLANNED.with(|c| c.replace(0)),
-        order_replans: ORDER_REPLANS.with(|c| c.replace(0)),
-        est_candidates: EST_CANDIDATES.with(|c| c.replace(0)),
-        pruned_candidates: PRUNED_CANDIDATES.with(|c| c.replace(0)),
-        cand_memo_hits: CAND_MEMO_HITS.with(|c| c.replace(0)),
-    }
+    STATS.with(Cell::take)
 }
 
 #[cfg(test)]
@@ -197,9 +120,9 @@ mod tests {
     #[test]
     fn take_resets() {
         let _ = take_stats();
-        count_index_candidates();
-        count_index_candidates();
-        count_pool_restriction();
+        count(|s| &mut s.index_candidates, 1);
+        count(|s| &mut s.index_candidates, 1);
+        count(|s| &mut s.pool_restrictions, 1);
         let s = matcher_stats();
         assert_eq!(s.index_candidates, 2);
         assert_eq!(s.pool_restrictions, 1);
@@ -238,11 +161,11 @@ mod tests {
     #[test]
     fn ordering_counters_round_trip() {
         let _ = take_stats();
-        count_order_planned();
-        count_order_replans();
-        count_est_candidates(10);
-        count_pruned_candidates(3);
-        count_pruned_candidates(0); // zero increments are dropped
+        count(|s| &mut s.order_planned, 1);
+        count(|s| &mut s.order_replans, 1);
+        count(|s| &mut s.est_candidates, 10);
+        count(|s| &mut s.pruned_candidates, 3);
+        count(|s| &mut s.pruned_candidates, 0); // zero increments are dropped
         let s = take_stats();
         assert_eq!(s.order_planned, 1);
         assert_eq!(s.order_replans, 1);

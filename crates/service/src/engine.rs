@@ -41,6 +41,7 @@ use crate::registry::{GraphEntry, GraphRegistry, DEFAULT_WARM_BUDGET_BYTES};
 use crate::sync;
 use fairsqg_algo::{ArchiveDelta, ArchiveObserver, CancelToken, MatchBudget};
 use fairsqg_faults::Fault;
+use fairsqg_matcher::MatcherStats;
 use fairsqg_wire::Value;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -333,59 +334,113 @@ struct Latencies {
     render: StageLatency,
 }
 
-#[derive(Default)]
-struct Counters {
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    cancelled: AtomicU64,
-    failed: AtomicU64,
-    truncated: AtomicU64,
+/// Declares the engine's scalar counters once: each line names a
+/// [`Counter`] and the dotted path where [`Engine::stats_value`] reports
+/// it. `/metrics` types every path in this table (and every `matching`
+/// leaf) as a Prometheus `counter`.
+macro_rules! engine_counters {
+    ($($name:ident = $path:literal,)+) => {
+        /// One monotone engine counter; indexes [`Counters`].
+        #[derive(Clone, Copy)]
+        enum Counter {
+            $($name,)+
+        }
+
+        /// The `stats` path of each [`Counter`], by discriminant.
+        const COUNTER_PATHS: &[&str] = &[$($path,)+];
+    };
+}
+
+engine_counters! {
+    Submitted = "submitted",
+    Completed = "completed",
+    Rejected = "rejected",
+    Cancelled = "cancelled",
+    Failed = "failed",
+    Truncated = "truncated",
     // Per-evaluator memoization totals, summed over completed jobs.
-    eval_verified: AtomicU64,
-    eval_cache_hits: AtomicU64,
-    // Matcher hot-path totals, summed over completed jobs: the candidate
-    // computation paths plus the cost-based ordering / semi-join pruning
-    // machinery (order plans amortize across jobs via the warm pool, so
-    // `order_planned` stays near the distinct-template count).
-    match_index_candidates: AtomicU64,
-    match_scan_candidates: AtomicU64,
-    match_scan_fallbacks: AtomicU64,
-    match_pool_restrictions: AtomicU64,
-    match_shard_skips: AtomicU64,
-    match_order_planned: AtomicU64,
-    match_order_replans: AtomicU64,
-    match_est_candidates: AtomicU64,
-    match_pruned_candidates: AtomicU64,
-    match_cand_memo_hits: AtomicU64,
+    EvalVerified = "evaluator_cache.verified",
+    EvalCacheHits = "evaluator_cache.hits",
     // Robustness counters.
-    job_panics: AtomicU64,
-    worker_respawns: AtomicU64,
-    budget_trips: AtomicU64,
-    dedup_hits: AtomicU64,
+    JobPanics = "robustness.job_panics",
+    WorkerRespawns = "robustness.worker_respawns",
+    BudgetTrips = "robustness.budget_trips",
+    DedupHits = "robustness.dedup_hits",
     // Coalescing: submissions attached to an in-flight leader, followers
     // served from a leader's result, and followers promoted + requeued
     // because the leader's outcome was unusable.
-    coalesced_attached: AtomicU64,
-    coalesced_served: AtomicU64,
-    coalesced_requeued: AtomicU64,
+    CoalescedAttached = "coalescing.attached",
+    CoalescedServed = "coalescing.served",
+    CoalescedRequeued = "coalescing.requeued",
     // Overload control: typed rejections by cause, queued victims evicted
     // in favor of higher-priority submissions, and jobs run degraded.
-    deadline_rejected: AtomicU64,
-    quota_rejected: AtomicU64,
-    shed: AtomicU64,
-    shed_evicted: AtomicU64,
-    brownout_jobs: AtomicU64,
-    deadline_misses: AtomicU64,
+    DeadlineRejected = "pressure.deadline_rejected",
+    QuotaRejected = "pressure.quota_rejected",
+    Shed = "pressure.shed",
+    ShedEvicted = "pressure.shed_evicted",
+    BrownoutJobs = "pressure.brownout_jobs",
+    DeadlineMisses = "pressure.deadline_misses",
     // Watchdog escalations and drain bounces.
-    watchdog_hard_stops: AtomicU64,
-    watchdog_lost_workers: AtomicU64,
-    drained: AtomicU64,
+    WatchdogHardStops = "watchdog.hard_stops",
+    WatchdogLostWorkers = "watchdog.lost_workers",
+    Drained = "drain.drained",
     // Streaming: live delta events published, settlement catch-up deltas
     // emitted, and subscriptions that reached their Settled event.
-    stream_deltas: AtomicU64,
-    stream_catchups: AtomicU64,
-    stream_settled: AtomicU64,
+    StreamDeltas = "streaming.deltas",
+    StreamCatchups = "streaming.catchups",
+    StreamSettled = "streaming.settled",
+}
+
+/// Every [`Counter`]'s value.
+struct Counters([AtomicU64; COUNTER_PATHS.len()]);
+
+impl Default for Counters {
+    fn default() -> Self {
+        Self(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
+}
+
+impl Counters {
+    fn add(&self, counter: Counter, n: u64) {
+        self.0[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn bump(&self, counter: Counter) {
+        self.add(counter, 1);
+    }
+
+    fn get(&self, counter: Counter) -> u64 {
+        self.0[counter as usize].load(Ordering::Relaxed)
+    }
+}
+
+/// Whether the dotted `stats` path names a monotone counter: an entry of
+/// the engine counter table or a `matching` leaf (the matcher's counter
+/// list). Everything else in [`Engine::stats_value`] is a gauge.
+pub(crate) fn is_counter_path(path: &str) -> bool {
+    COUNTER_PATHS.contains(&path)
+        || path
+            .strip_prefix("matching.")
+            .is_some_and(|k| MatcherStats::default().iter().any(|(name, _)| name == k))
+}
+
+/// Inserts `leaf` at the dotted `path` under `node`, creating the
+/// intermediate objects.
+fn insert_at(node: &mut Value, path: &str, leaf: Value) {
+    let Value::Object(map) = node else {
+        panic!("stats path {path} runs through a leaf");
+    };
+    match path.split_once('.') {
+        None => {
+            map.insert(path.to_string(), leaf);
+        }
+        Some((head, rest)) => insert_at(
+            map.entry(head.to_string())
+                .or_insert_with(|| Value::object([])),
+            rest,
+            leaf,
+        ),
+    }
 }
 
 struct QueueState {
@@ -457,6 +512,10 @@ struct Shared {
     cache: Mutex<LruCache<Arc<Value>>>,
     dedup: Mutex<DedupMap>,
     counters: Counters,
+    /// Matcher hot-path totals, summed over completed jobs (leaf lock).
+    /// Order plans amortize across jobs via the warm pool, so
+    /// `order_planned` stays near the distinct-template count.
+    matching: Mutex<MatcherStats>,
     latencies: Mutex<Latencies>,
     next_id: AtomicU64,
     // Supervision state: live handles (replacements register themselves
@@ -529,6 +588,7 @@ impl Engine {
             jobs: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
             counters: Counters::default(),
+            matching: Mutex::new(MatcherStats::default()),
             latencies: Mutex::new(Latencies::default()),
             next_id: AtomicU64::new(1),
             subscriptions: Mutex::new(HashMap::new()),
@@ -574,19 +634,13 @@ impl Engine {
         // to the job admitted the first time, whatever state it is in.
         if let Some(key) = &spec.request_key {
             if let Some(id) = sync::lock(&self.shared.dedup).get(key) {
-                self.shared
-                    .counters
-                    .dedup_hits
-                    .fetch_add(1, Ordering::Relaxed);
+                self.shared.counters.bump(Counter::DedupHits);
                 return Ok(id);
             }
         }
 
         if let Some(fault) = fairsqg_faults::fire("queue.admit") {
-            self.shared
-                .counters
-                .rejected
-                .fetch_add(1, Ordering::Relaxed);
+            self.shared.counters.bump(Counter::Rejected);
             let message = match fault {
                 Fault::Error(m) => m,
                 Fault::ReturnEarly => "admission rejected (injected)".to_string(),
@@ -597,10 +651,7 @@ impl Engine {
         // A draining engine completes what it has but takes nothing new;
         // the typed rejection tells clients to replay elsewhere.
         if self.shared.draining.load(Ordering::SeqCst) {
-            self.shared
-                .counters
-                .rejected
-                .fetch_add(1, Ordering::Relaxed);
+            self.shared.counters.bump(Counter::Rejected);
             return Err(SubmitError::Draining);
         }
 
@@ -609,10 +660,7 @@ impl Engine {
             .registry
             .get(&spec.graph)
             .ok_or_else(|| SubmitError::UnknownGraph(spec.graph.clone()))?;
-        self.shared
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
+        self.shared.counters.bump(Counter::Submitted);
 
         // Per-job caps override the engine defaults axis by axis; the
         // merged budget is what runs and what the cache keys on.
@@ -649,10 +697,7 @@ impl Engine {
             if let Some(k) = request_key {
                 sync::lock(&self.shared.dedup).insert(k, id);
             }
-            self.shared
-                .counters
-                .completed
-                .fetch_add(1, Ordering::Relaxed);
+            self.shared.counters.bump(Counter::Completed);
             return Ok(id);
         }
 
@@ -718,10 +763,7 @@ impl Engine {
                     if let Some(k) = request_key {
                         sync::lock(&self.shared.dedup).insert(k, id);
                     }
-                    self.shared
-                        .counters
-                        .coalesced_attached
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.shared.counters.bump(Counter::CoalescedAttached);
                     return Ok(id);
                 }
                 // The mapped job already settled; fall through and lead.
@@ -773,21 +815,15 @@ impl Engine {
                             }
                         }
                     }
-                    self.shared.counters.failed.fetch_add(1, Ordering::Relaxed);
-                    self.shared
-                        .counters
-                        .shed_evicted
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.shared.counters.bump(Counter::Failed);
+                    self.shared.counters.bump(Counter::ShedEvicted);
                 }
             }
             if evicted.is_none() {
                 drop(q);
                 drop(inflight);
                 self.release_quota(quota_client.as_deref());
-                self.shared
-                    .counters
-                    .rejected
-                    .fetch_add(1, Ordering::Relaxed);
+                self.shared.counters.bump(Counter::Rejected);
                 let retry_after_ms = self.retry_hint(1);
                 return Err(SubmitError::Overloaded {
                     capacity: self.shared.config.queue_capacity,
@@ -884,11 +920,8 @@ impl Engine {
                 workers,
             ));
             drop(ov);
-            self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .counters
-                .rejected
-                .fetch_add(1, Ordering::Relaxed);
+            self.shared.counters.bump(Counter::Shed);
+            self.shared.counters.bump(Counter::Rejected);
             return Err(SubmitError::Shed { retry_after_ms });
         }
 
@@ -910,14 +943,8 @@ impl Engine {
                     let predicted_ms = predicted.ceil() as u64;
                     let retry_after_ms = hint_ms(predicted - deadline_ms as f64);
                     drop(ov);
-                    self.shared
-                        .counters
-                        .deadline_rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared
-                        .counters
-                        .rejected
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.shared.counters.bump(Counter::DeadlineRejected);
+                    self.shared.counters.bump(Counter::Rejected);
                     return Err(SubmitError::DeadlineUnmeetable {
                         deadline_ms,
                         predicted_ms,
@@ -938,14 +965,8 @@ impl Engine {
                     let retry_after_ms =
                         hint_ms(ov.model.predict_service_ms(plan_key(spec)) / workers as f64);
                     drop(ov);
-                    self.shared
-                        .counters
-                        .quota_rejected
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared
-                        .counters
-                        .rejected
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.shared.counters.bump(Counter::QuotaRejected);
+                    self.shared.counters.bump(Counter::Rejected);
                     return Err(SubmitError::QuotaExceeded {
                         client: client.clone(),
                         limit,
@@ -1112,7 +1133,9 @@ impl Engine {
             .any(|r| matches!(r.state, JobState::Queued | JobState::Running))
     }
 
-    /// Engine statistics in wire form (the `stats` response body).
+    /// Engine statistics in wire form (the `stats` response body): the
+    /// computed gauges below, then every [`Counter`] at its table path
+    /// and the matcher totals under `matching`.
     pub fn stats_value(&self) -> Value {
         let c = &self.shared.counters;
         // A zero-capacity cache is off, not "a cache with no entries" —
@@ -1145,243 +1168,91 @@ impl Engine {
         } else {
             Value::object([("enabled", Value::from(false))])
         };
-        let lat = sync::lock(&self.shared.latencies);
-        let eval_verified = c.eval_verified.load(Ordering::Relaxed);
-        let eval_hits = c.eval_cache_hits.load(Ordering::Relaxed);
-        let eval_lookups = eval_verified + eval_hits;
+        let pressure = {
+            let ov = sync::lock(&self.shared.overload);
+            let ms = |v: Option<f64>| v.map_or(Value::Null, Value::from);
+            Value::object([
+                ("level", Value::from(self.pressure_level().as_str())),
+                ("transitions", Value::from(ov.controller.transitions())),
+                ("miss_rate", ms(ov.miss_ewma.get())),
+                ("service_ms", ms(ov.model.overall_service_ms())),
+                ("queue_wait_ms", ms(ov.model.queue_wait_ms())),
+            ])
+        };
+        let registry = {
+            let r = self.shared.registry.stats();
+            Value::object([
+                ("graphs", Value::from(r.graphs as u64)),
+                ("parse_loads", Value::from(r.parse_loads)),
+                ("mmap_loads", Value::from(r.mmap_loads)),
+                ("heap_bytes", Value::from(r.heap_bytes as u64)),
+                ("mapped_bytes", Value::from(r.mapped_bytes as u64)),
+                ("quarantined", Value::from(r.quarantined as u64)),
+            ])
+        };
+        let latency = {
+            let lat = sync::lock(&self.shared.latencies);
+            Value::object([
+                ("queue_wait", lat.queue_wait.to_value()),
+                ("plan", lat.plan.to_value()),
+                ("generate", lat.generate.to_value()),
+                ("render", lat.render.to_value()),
+            ])
+        };
+        let matching = *sync::lock(&self.shared.matching);
+        let eval_hits = c.get(Counter::EvalCacheHits);
+        let eval_lookups = c.get(Counter::EvalVerified) + eval_hits;
         let eval_rate = if eval_lookups == 0 {
             0.0
         } else {
             eval_hits as f64 / eval_lookups as f64
         };
-        Value::object([
-            ("workers", Value::from(self.shared.config.workers)),
+        let config = &self.shared.config;
+        let mut stats = Value::object([
+            ("workers", Value::from(config.workers)),
             ("queue_depth", Value::from(self.queue_depth())),
-            (
-                "queue_capacity",
-                Value::from(self.shared.config.queue_capacity),
-            ),
-            (
-                "submitted",
-                Value::from(c.submitted.load(Ordering::Relaxed)),
-            ),
-            (
-                "completed",
-                Value::from(c.completed.load(Ordering::Relaxed)),
-            ),
-            ("rejected", Value::from(c.rejected.load(Ordering::Relaxed))),
-            (
-                "cancelled",
-                Value::from(c.cancelled.load(Ordering::Relaxed)),
-            ),
-            ("failed", Value::from(c.failed.load(Ordering::Relaxed))),
-            (
-                "truncated",
-                Value::from(c.truncated.load(Ordering::Relaxed)),
-            ),
+            ("queue_capacity", Value::from(config.queue_capacity)),
             (
                 "robustness",
-                Value::object([
-                    ("workers_alive", Value::from(self.workers_alive())),
-                    (
-                        "job_panics",
-                        Value::from(c.job_panics.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "worker_respawns",
-                        Value::from(c.worker_respawns.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "budget_trips",
-                        Value::from(c.budget_trips.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "dedup_hits",
-                        Value::from(c.dedup_hits.load(Ordering::Relaxed)),
-                    ),
-                ]),
+                Value::object([("workers_alive", Value::from(self.workers_alive()))]),
             ),
-            ("pressure", {
-                let ov = sync::lock(&self.shared.overload);
-                Value::object([
-                    ("level", Value::from(self.pressure_level().as_str())),
-                    ("transitions", Value::from(ov.controller.transitions())),
-                    (
-                        "miss_rate",
-                        ov.miss_ewma.get().map_or(Value::Null, Value::from),
-                    ),
-                    (
-                        "service_ms",
-                        ov.model
-                            .overall_service_ms()
-                            .map_or(Value::Null, Value::from),
-                    ),
-                    (
-                        "queue_wait_ms",
-                        ov.model.queue_wait_ms().map_or(Value::Null, Value::from),
-                    ),
-                    (
-                        "deadline_rejected",
-                        Value::from(c.deadline_rejected.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "quota_rejected",
-                        Value::from(c.quota_rejected.load(Ordering::Relaxed)),
-                    ),
-                    ("shed", Value::from(c.shed.load(Ordering::Relaxed))),
-                    (
-                        "shed_evicted",
-                        Value::from(c.shed_evicted.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "brownout_jobs",
-                        Value::from(c.brownout_jobs.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "deadline_misses",
-                        Value::from(c.deadline_misses.load(Ordering::Relaxed)),
-                    ),
-                ])
-            }),
+            ("pressure", pressure),
             (
                 "watchdog",
-                Value::object([
-                    (
-                        "enabled",
-                        Value::from(self.shared.config.watchdog_grace.is_some()),
-                    ),
-                    (
-                        "hard_stops",
-                        Value::from(c.watchdog_hard_stops.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "lost_workers",
-                        Value::from(c.watchdog_lost_workers.load(Ordering::Relaxed)),
-                    ),
-                ]),
+                Value::object([("enabled", Value::from(config.watchdog_grace.is_some()))]),
             ),
             (
                 "drain",
-                Value::object([
-                    ("draining", Value::from(self.is_draining())),
-                    ("drained", Value::from(c.drained.load(Ordering::Relaxed))),
-                ]),
+                Value::object([("draining", Value::from(self.is_draining()))]),
             ),
             ("result_cache", result_cache),
             (
                 "coalescing",
-                Value::object([
-                    ("enabled", Value::from(self.shared.config.coalesce)),
-                    (
-                        "attached",
-                        Value::from(c.coalesced_attached.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "served",
-                        Value::from(c.coalesced_served.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "requeued",
-                        Value::from(c.coalesced_requeued.load(Ordering::Relaxed)),
-                    ),
-                ]),
+                Value::object([("enabled", Value::from(config.coalesce))]),
             ),
             (
                 "streaming",
-                Value::object([
-                    (
-                        "deltas",
-                        Value::from(c.stream_deltas.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "catchups",
-                        Value::from(c.stream_catchups.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "settled",
-                        Value::from(c.stream_settled.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "active",
-                        Value::from(sync::lock(&self.shared.subscriptions).len() as u64),
-                    ),
-                ]),
+                Value::object([(
+                    "active",
+                    Value::from(sync::lock(&self.shared.subscriptions).len() as u64),
+                )]),
             ),
             ("warm_state", warm),
-            ("registry", {
-                let r = self.shared.registry.stats();
-                Value::object([
-                    ("graphs", Value::from(r.graphs as u64)),
-                    ("parse_loads", Value::from(r.parse_loads)),
-                    ("mmap_loads", Value::from(r.mmap_loads)),
-                    ("heap_bytes", Value::from(r.heap_bytes as u64)),
-                    ("mapped_bytes", Value::from(r.mapped_bytes as u64)),
-                    ("quarantined", Value::from(r.quarantined as u64)),
-                ])
-            }),
+            ("registry", registry),
             (
                 "evaluator_cache",
-                Value::object([
-                    ("verified", Value::from(eval_verified)),
-                    ("hits", Value::from(eval_hits)),
-                    ("hit_rate", Value::from(eval_rate)),
-                ]),
+                Value::object([("hit_rate", Value::from(eval_rate))]),
             ),
             (
                 "matching",
-                Value::object([
-                    (
-                        "index_candidates",
-                        Value::from(c.match_index_candidates.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "scan_candidates",
-                        Value::from(c.match_scan_candidates.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "scan_fallbacks",
-                        Value::from(c.match_scan_fallbacks.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "pool_restrictions",
-                        Value::from(c.match_pool_restrictions.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "shard_skips",
-                        Value::from(c.match_shard_skips.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "order_planned",
-                        Value::from(c.match_order_planned.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "order_replans",
-                        Value::from(c.match_order_replans.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "est_candidates",
-                        Value::from(c.match_est_candidates.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "pruned_candidates",
-                        Value::from(c.match_pruned_candidates.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "cand_memo_hits",
-                        Value::from(c.match_cand_memo_hits.load(Ordering::Relaxed)),
-                    ),
-                ]),
+                Value::object(matching.iter().map(|(k, v)| (k, Value::from(v)))),
             ),
-            (
-                "latency",
-                Value::object([
-                    ("queue_wait", lat.queue_wait.to_value()),
-                    ("plan", lat.plan.to_value()),
-                    ("generate", lat.generate.to_value()),
-                    ("render", lat.render.to_value()),
-                ]),
-            ),
-        ])
+            ("latency", latency),
+        ]);
+        for (path, value) in COUNTER_PATHS.iter().zip(&c.0) {
+            insert_at(&mut stats, path, Value::from(value.load(Ordering::Relaxed)));
+        }
+        stats
     }
 
     /// Drains the queue and stops the workers: already-admitted jobs run to
@@ -1438,10 +1309,7 @@ impl Drop for WorkerGuard {
     fn drop(&mut self) {
         self.shared.workers_alive.fetch_sub(1, Ordering::SeqCst);
         if std::thread::panicking() && !sync::lock(&self.shared.queue).shutdown {
-            self.shared
-                .counters
-                .worker_respawns
-                .fetch_add(1, Ordering::Relaxed);
+            self.shared.counters.bump(Counter::WorkerRespawns);
             let seq = self.shared.worker_seq.fetch_add(1, Ordering::Relaxed);
             spawn_worker(&self.shared, seq);
         }
@@ -1526,10 +1394,7 @@ fn watchdog_loop(shared: &Arc<Shared>, grace: Duration) {
                     None => {
                         r.cancel.hard_stop();
                         r.hard_stopped_at = Some(now);
-                        shared
-                            .counters
-                            .watchdog_hard_stops
-                            .fetch_add(1, Ordering::Relaxed);
+                        shared.counters.bump(Counter::WatchdogHardStops);
                     }
                     Some(at) if now.saturating_duration_since(at) > grace => lost.push(id),
                     Some(_) => {}
@@ -1537,10 +1402,7 @@ fn watchdog_loop(shared: &Arc<Shared>, grace: Duration) {
             }
         }
         for id in lost {
-            shared
-                .counters
-                .watchdog_lost_workers
-                .fetch_add(1, Ordering::Relaxed);
+            shared.counters.bump(Counter::WatchdogLostWorkers);
             // Over-provision first, settle second: the pool must not dip
             // below strength while the wedged thread holds its slot. If
             // the original thread ever returns, its settlement is a
@@ -1608,10 +1470,7 @@ fn publish_delta(shared: &Shared, id: u64, version: u64, added: Vec<Value>, remo
         st.last_version = version;
         st.sinks.clone()
     };
-    shared
-        .counters
-        .stream_deltas
-        .fetch_add(1, Ordering::Relaxed);
+    shared.counters.bump(Counter::StreamDeltas);
     let ev = JobEvent::Delta {
         id,
         version,
@@ -1676,10 +1535,7 @@ fn flush_settled(shared: &Shared, id: u64) {
                 .cloned()
                 .collect();
             if !added.is_empty() || !removed.is_empty() {
-                shared
-                    .counters
-                    .stream_catchups
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.counters.bump(Counter::StreamCatchups);
                 let ev = JobEvent::Delta {
                     id,
                     version: st.last_version + 1,
@@ -1692,10 +1548,7 @@ fn flush_settled(shared: &Shared, id: u64) {
             }
         }
     }
-    shared
-        .counters
-        .stream_settled
-        .fetch_add(1, Ordering::Relaxed);
+    shared.counters.bump(Counter::StreamSettled);
     let ev = JobEvent::Settled {
         id,
         state,
@@ -1766,10 +1619,7 @@ fn run_job(shared: &Shared, id: u64) {
         let bc = &shared.config.brownout;
         let budget = spec.budget.tighten(&bc.degraded_budget);
         let pair_cap = (bc.degraded_pair_cap > 0).then_some(bc.degraded_pair_cap);
-        shared
-            .counters
-            .brownout_jobs
-            .fetch_add(1, Ordering::Relaxed);
+        shared.counters.bump(Counter::BrownoutJobs);
         (
             Some(RunOverrides { budget, pair_cap }),
             Some(BrownoutMark {
@@ -1855,29 +1705,13 @@ fn run_job(shared: &Shared, id: u64) {
         }
         shared
             .counters
-            .eval_verified
-            .fetch_add(out.stats.verified, Ordering::Relaxed);
+            .add(Counter::EvalVerified, out.stats.verified);
         shared
             .counters
-            .eval_cache_hits
-            .fetch_add(out.stats.cache_hits, Ordering::Relaxed);
-        let c = &shared.counters;
-        for (counter, value) in [
-            (&c.match_index_candidates, out.stats.index_candidates),
-            (&c.match_scan_candidates, out.stats.scan_candidates),
-            (&c.match_scan_fallbacks, out.stats.scan_fallbacks),
-            (&c.match_pool_restrictions, out.stats.pool_restrictions),
-            (&c.match_shard_skips, out.stats.shard_skips),
-            (&c.match_order_planned, out.stats.order_planned),
-            (&c.match_order_replans, out.stats.order_replans),
-            (&c.match_est_candidates, out.stats.est_candidates),
-            (&c.match_pruned_candidates, out.stats.pruned_candidates),
-            (&c.match_cand_memo_hits, out.stats.cand_memo_hits),
-        ] {
-            counter.fetch_add(value, Ordering::Relaxed);
-        }
+            .add(Counter::EvalCacheHits, out.stats.cache_hits);
+        sync::lock(&shared.matching).merge(out.stats.matcher);
         if out.stats.budget_tripped.is_some() {
-            shared.counters.budget_trips.fetch_add(1, Ordering::Relaxed);
+            shared.counters.bump(Counter::BudgetTrips);
         }
         Ok::<(Arc<Value>, bool), String>((Arc::new(rendered), out.truncated))
     }));
@@ -1894,10 +1728,7 @@ fn run_job(shared: &Shared, id: u64) {
             let missed = elapsed > d;
             ov.miss_ewma.observe(if missed { 1.0 } else { 0.0 });
             if missed {
-                shared
-                    .counters
-                    .deadline_misses
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.counters.bump(Counter::DeadlineMisses);
             }
         }
     }
@@ -1929,7 +1760,7 @@ fn run_job(shared: &Shared, id: u64) {
         }
         Ok(Err(message)) => settle_job(shared, id, Settled::Failed(message)),
         Err(panic) => {
-            shared.counters.job_panics.fetch_add(1, Ordering::Relaxed);
+            shared.counters.bump(Counter::JobPanics);
             let message = panic
                 .downcast_ref::<&str>()
                 .map(|s| s.to_string())
@@ -1992,23 +1823,23 @@ fn settle_job(shared: &Shared, id: u64, outcome: Settled) {
                         r.state = JobState::Done;
                         r.result = Some(Arc::clone(result));
                         r.truncated = *truncated;
-                        shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+                        shared.counters.bump(Counter::Completed);
                         if *truncated {
-                            shared.counters.truncated.fetch_add(1, Ordering::Relaxed);
+                            shared.counters.bump(Counter::Truncated);
                         }
                     }
                     Settled::Failed(message) => {
                         r.state = JobState::Failed;
                         r.error = Some(message.clone());
-                        shared.counters.failed.fetch_add(1, Ordering::Relaxed);
+                        shared.counters.bump(Counter::Failed);
                     }
                     Settled::Cancelled => {
                         r.state = JobState::Cancelled;
-                        shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
+                        shared.counters.bump(Counter::Cancelled);
                     }
                     Settled::Drained => {
                         r.state = JobState::Drained;
-                        shared.counters.drained.fetch_add(1, Ordering::Relaxed);
+                        shared.counters.bump(Counter::Drained);
                     }
                 }
                 settled_ids.push(id);
@@ -2026,15 +1857,12 @@ fn settle_job(shared: &Shared, id: u64, outcome: Settled) {
                     }
                     if fr.cancel.cancel_requested() {
                         fr.state = JobState::Cancelled;
-                        shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
+                        shared.counters.bump(Counter::Cancelled);
                     } else {
                         fr.state = JobState::Done;
                         fr.result = Some(Arc::clone(result));
-                        shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-                        shared
-                            .counters
-                            .coalesced_served
-                            .fetch_add(1, Ordering::Relaxed);
+                        shared.counters.bump(Counter::Completed);
+                        shared.counters.bump(Counter::CoalescedServed);
                     }
                     settled_ids.push(f);
                 }
@@ -2047,7 +1875,7 @@ fn settle_job(shared: &Shared, id: u64, outcome: Settled) {
                     if let Some(c) = &fr.spec.client {
                         released.push(c.clone());
                     }
-                    shared.counters.drained.fetch_add(1, Ordering::Relaxed);
+                    shared.counters.bump(Counter::Drained);
                     settled_ids.push(f);
                 }
             }
@@ -2059,7 +1887,7 @@ fn settle_job(shared: &Shared, id: u64, outcome: Settled) {
                         fr.state = JobState::Cancelled;
                         fr.entry = None;
                         freed = fr.spec.client.clone();
-                        shared.counters.cancelled.fetch_add(1, Ordering::Relaxed);
+                        shared.counters.bump(Counter::Cancelled);
                         settled_ids.push(f);
                         false
                     } else {
@@ -2082,10 +1910,7 @@ fn settle_job(shared: &Shared, id: u64, outcome: Settled) {
                 if let Some(fp) = &fingerprint {
                     inflight.insert(fp.clone(), nl);
                 }
-                shared
-                    .counters
-                    .coalesced_requeued
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.counters.bump(Counter::CoalescedRequeued);
             }
         }
         if promoted.is_none() {

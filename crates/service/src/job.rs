@@ -443,8 +443,7 @@ pub fn run_plan_observed(
         AlgoKind::BiQGen => biqgen(cfg, BiQGenOptions::default()),
         AlgoKind::ParEnum => par_enum_qgen(cfg, spec.threads),
     };
-    out.stats
-        .record_hot_path(plan_delta, fairsqg_measures::MeasureCacheStats::default());
+    out.stats.matcher.merge(plan_delta);
     out
 }
 
@@ -544,81 +543,35 @@ pub fn generated_to_value_with(
             )
     });
     let rendered: Vec<Value> = entries.iter().map(|e| entry_to_value(plan, e)).collect();
+    let s = &out.stats;
+    let budget_tripped = s.budget_tripped.map_or(Value::Null, |t| {
+        Value::object([
+            ("budget", Value::from(t.kind.name())),
+            ("limit", Value::from(t.limit as i64)),
+        ])
+    });
+    let mut stats = vec![
+        ("spawned", Value::from(s.spawned)),
+        ("verified", Value::from(s.verified)),
+        ("cache_hits", Value::from(s.cache_hits)),
+        ("pruned_infeasible", Value::from(s.pruned_infeasible)),
+        ("pruned_sandwich", Value::from(s.pruned_sandwich)),
+        ("elapsed_ms", Value::from(s.elapsed.as_secs_f64() * 1e3)),
+        ("threads_used", Value::from(s.threads_used)),
+        ("distance_cache_hits", Value::from(s.distance_cache_hits)),
+        (
+            "distance_cache_misses",
+            Value::from(s.distance_cache_misses),
+        ),
+        ("budget_tripped", budget_tripped),
+        ("brownout", brownout.map_or(Value::Null, |m| m.to_value())),
+    ];
+    stats.extend(s.matcher.iter().map(|(k, v)| (k, Value::from(v))));
     Value::object([
         ("eps", Value::from(out.eps)),
         ("truncated", Value::from(out.truncated)),
         ("entries", Value::Array(rendered)),
-        (
-            "stats",
-            Value::object([
-                ("spawned", Value::from(out.stats.spawned as i64)),
-                ("verified", Value::from(out.stats.verified as i64)),
-                ("cache_hits", Value::from(out.stats.cache_hits as i64)),
-                (
-                    "pruned_infeasible",
-                    Value::from(out.stats.pruned_infeasible as i64),
-                ),
-                (
-                    "pruned_sandwich",
-                    Value::from(out.stats.pruned_sandwich as i64),
-                ),
-                (
-                    "elapsed_ms",
-                    Value::from(out.stats.elapsed.as_secs_f64() * 1e3),
-                ),
-                ("threads_used", Value::from(out.stats.threads_used as i64)),
-                (
-                    "index_candidates",
-                    Value::from(out.stats.index_candidates as i64),
-                ),
-                (
-                    "scan_candidates",
-                    Value::from(out.stats.scan_candidates as i64),
-                ),
-                (
-                    "scan_fallbacks",
-                    Value::from(out.stats.scan_fallbacks as i64),
-                ),
-                (
-                    "pool_restrictions",
-                    Value::from(out.stats.pool_restrictions as i64),
-                ),
-                ("shard_skips", Value::from(out.stats.shard_skips as i64)),
-                ("order_planned", Value::from(out.stats.order_planned as i64)),
-                ("order_replans", Value::from(out.stats.order_replans as i64)),
-                (
-                    "est_candidates",
-                    Value::from(out.stats.est_candidates as i64),
-                ),
-                (
-                    "pruned_candidates",
-                    Value::from(out.stats.pruned_candidates as i64),
-                ),
-                (
-                    "cand_memo_hits",
-                    Value::from(out.stats.cand_memo_hits as i64),
-                ),
-                (
-                    "distance_cache_hits",
-                    Value::from(out.stats.distance_cache_hits as i64),
-                ),
-                (
-                    "distance_cache_misses",
-                    Value::from(out.stats.distance_cache_misses as i64),
-                ),
-                (
-                    "budget_tripped",
-                    match out.stats.budget_tripped {
-                        Some(t) => Value::object([
-                            ("budget", Value::from(t.kind.name())),
-                            ("limit", Value::from(t.limit as i64)),
-                        ]),
-                        None => Value::Null,
-                    },
-                ),
-                ("brownout", brownout.map_or(Value::Null, |m| m.to_value())),
-            ]),
-        ),
+        ("stats", Value::object(stats)),
     ])
 }
 

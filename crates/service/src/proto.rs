@@ -33,7 +33,7 @@
 //! the job's own `client` field if set, else the connection tag the
 //! server passes to [`handle_request_from`].
 
-use crate::engine::{Engine, JobState, SubmitError};
+use crate::engine::{is_counter_path, Engine, JobState, SubmitError};
 use crate::job::JobSpec;
 use crate::registry::LoadError;
 use fairsqg_wire::Value;
@@ -308,43 +308,52 @@ pub fn handle_request_from(
     (response, false)
 }
 
-/// Renders the engine's statistics as Prometheus text-exposition gauges:
-/// every numeric leaf of [`Engine::stats_value`] becomes one
-/// `fairsqg_<path> <value>` line (path components joined with `_`),
-/// booleans become `0`/`1`, and string leaves become a labelled gauge
-/// (`fairsqg_pressure_level{value="nominal"} 1`). Serves the `metrics`
-/// op and the multiplexed server's `GET /metrics` endpoint.
+/// Renders the engine's statistics as Prometheus text exposition: every
+/// numeric leaf of [`Engine::stats_value`] becomes one
+/// `fairsqg_<path> <value>` sample (path components joined with `_`),
+/// booleans become `0`/`1`, and string leaves become a labelled sample
+/// (`fairsqg_pressure_level{value="nominal"} 1`). Each sample follows its
+/// `# TYPE` line: `counter` for the engine's counter table and the
+/// matcher's counter list, `gauge` for everything else. Serves the
+/// `metrics` op and the multiplexed server's `GET /metrics` endpoint.
 pub fn metrics_text(engine: &Engine) -> String {
-    let mut out = String::from("# fairsqg engine metrics (all gauges)\n");
-    flatten_metrics(&engine.stats_value(), "fairsqg", &mut out);
+    let mut out = String::from("# fairsqg engine metrics\n");
+    flatten_metrics(&engine.stats_value(), "", &mut out);
     out
 }
 
+/// Appends the samples under `v`, whose dotted `stats` path is `path`.
 fn flatten_metrics(v: &Value, path: &str, out: &mut String) {
     use std::fmt::Write as _;
-    match v {
-        Value::Object(map) => {
-            for (k, child) in map {
-                let joined = format!("{path}_{k}");
-                flatten_metrics(child, &joined, out);
-            }
+    if let Value::Object(map) = v {
+        for (k, child) in map {
+            let joined = if path.is_empty() {
+                k.clone()
+            } else {
+                format!("{path}.{k}")
+            };
+            flatten_metrics(child, &joined, out);
         }
-        Value::Int(i) => {
-            let _ = writeln!(out, "{path} {i}");
-        }
-        Value::Float(f) if f.is_finite() => {
-            let _ = writeln!(out, "{path} {f}");
-        }
-        Value::Bool(b) => {
-            let _ = writeln!(out, "{path} {}", u8::from(*b));
-        }
+        return;
+    }
+    let sample = match v {
+        Value::Int(i) => format!(" {i}"),
+        Value::Float(f) if f.is_finite() => format!(" {f}"),
+        Value::Bool(b) => format!(" {}", u8::from(*b)),
         Value::Str(s) => {
             let escaped = s.replace('\\', "\\\\").replace('"', "\\\"");
-            let _ = writeln!(out, "{path}{{value=\"{escaped}\"}} 1");
+            format!("{{value=\"{escaped}\"}} 1")
         }
-        // Arrays and non-finite floats have no scalar exposition; skip.
-        _ => {}
-    }
+        // Arrays, nulls and non-finite floats have no scalar exposition.
+        _ => return,
+    };
+    let name = format!("fairsqg_{}", path.replace('.', "_"));
+    let kind = if is_counter_path(path) {
+        "counter"
+    } else {
+        "gauge"
+    };
+    let _ = writeln!(out, "# TYPE {name} {kind}\n{name}{sample}");
 }
 
 #[cfg(test)]

@@ -471,47 +471,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         .map_err(|e| format!("bind {addr}: {e}"))?;
     let bound = server.local_addr().map_err(|e| e.to_string())?;
     eprintln!("fairsqg-service listening on {bound}");
-
-    // SIGTERM monitor: drain admissions, let running jobs settle, persist
-    // the manifest, then stop the accept loop. Queued jobs were answered
-    // `drained` — clients replay them elsewhere via their request keys.
-    sigterm::install();
     let stop = server.stop_handle();
-    let sig_engine = Arc::clone(&engine);
-    let sig_manifest = manifest.clone();
-    std::thread::Builder::new()
-        .name("fairsqg-sigterm".to_string())
-        .spawn(move || loop {
-            if sigterm::triggered() {
-                let (bounced, running) = sig_engine.begin_drain();
-                eprintln!("SIGTERM: draining ({bounced} queued jobs bounced, {running} running)");
-                let deadline = std::time::Instant::now() + Duration::from_secs(30);
-                while !sig_engine.drain_complete() && std::time::Instant::now() < deadline {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                if let Some(path) = &sig_manifest {
-                    match sig_engine.registry().write_manifest(path) {
-                        Ok(n) => eprintln!("SIGTERM: wrote manifest {path} ({n} graphs)"),
-                        Err(e) => eprintln!("SIGTERM: manifest write failed: {e}"),
-                    }
-                }
-                stop.stop();
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        })
-        .map_err(|e| format!("spawn sigterm monitor: {e}"))?;
-
-    let served = server.serve().map_err(|e| e.to_string());
-    // Any exit path (shutdown op, SIGTERM) leaves a fresh manifest behind
-    // so the next start recovers the same graph set.
-    if let Some(path) = &manifest {
-        match engine.registry().write_manifest(path) {
-            Ok(n) => eprintln!("wrote manifest {path} ({n} graphs)"),
-            Err(e) => eprintln!("manifest write failed: {e}"),
-        }
-    }
-    served
+    serve_until_stopped(&engine, manifest, move || stop.stop(), || server.serve())
 }
 
 /// `serve --mux on`: the readiness-driven multiplexed core. Same engine,
@@ -523,40 +484,52 @@ fn serve_mux(addr: &str, engine: Arc<Engine>, manifest: Option<String>) -> Resul
         .map_err(|e| format!("bind {addr}: {e}"))?;
     let bound = server.local_addr().map_err(|e| e.to_string())?;
     eprintln!("fairsqg-service (mux) listening on {bound}");
-
-    sigterm::install();
     let stop = server.stop_handle();
-    let sig_engine = Arc::clone(&engine);
+    serve_until_stopped(&engine, manifest, move || stop.stop(), || server.serve())
+}
+
+/// Runs a bound server's `serve` loop under a SIGTERM monitor. On SIGTERM
+/// the monitor drains admissions, lets running jobs settle (30 s at most),
+/// persists the manifest, then calls `stop`; queued jobs were answered
+/// `drained` — clients replay them elsewhere via their request keys. Any
+/// exit path (shutdown op, SIGTERM) leaves a fresh manifest behind so the
+/// next start recovers the same graph set.
+fn serve_until_stopped(
+    engine: &Arc<Engine>,
+    manifest: Option<String>,
+    stop: impl FnOnce() + Send + 'static,
+    serve: impl FnOnce() -> std::io::Result<()>,
+) -> Result<(), String> {
+    let write_manifest =
+        |engine: &Engine, path: &str, prefix: &str| match engine.registry().write_manifest(path) {
+            Ok(n) => eprintln!("{prefix}wrote manifest {path} ({n} graphs)"),
+            Err(e) => eprintln!("{prefix}manifest write failed: {e}"),
+        };
+    sigterm::install();
+    let sig_engine = Arc::clone(engine);
     let sig_manifest = manifest.clone();
     std::thread::Builder::new()
         .name("fairsqg-sigterm".to_string())
-        .spawn(move || loop {
-            if sigterm::triggered() {
-                let (bounced, running) = sig_engine.begin_drain();
-                eprintln!("SIGTERM: draining ({bounced} queued jobs bounced, {running} running)");
-                let deadline = std::time::Instant::now() + Duration::from_secs(30);
-                while !sig_engine.drain_complete() && std::time::Instant::now() < deadline {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                if let Some(path) = &sig_manifest {
-                    match sig_engine.registry().write_manifest(path) {
-                        Ok(n) => eprintln!("SIGTERM: wrote manifest {path} ({n} graphs)"),
-                        Err(e) => eprintln!("SIGTERM: manifest write failed: {e}"),
-                    }
-                }
-                stop.stop();
-                return;
+        .spawn(move || {
+            while !sigterm::triggered() {
+                std::thread::sleep(Duration::from_millis(50));
             }
-            std::thread::sleep(Duration::from_millis(50));
+            let (bounced, running) = sig_engine.begin_drain();
+            eprintln!("SIGTERM: draining ({bounced} queued jobs bounced, {running} running)");
+            let deadline = std::time::Instant::now() + Duration::from_secs(30);
+            while !sig_engine.drain_complete() && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            if let Some(path) = &sig_manifest {
+                write_manifest(&sig_engine, path, "SIGTERM: ");
+            }
+            stop();
         })
         .map_err(|e| format!("spawn sigterm monitor: {e}"))?;
 
-    let served = server.serve().map_err(|e| e.to_string());
+    let served = serve().map_err(|e| e.to_string());
     if let Some(path) = &manifest {
-        match engine.registry().write_manifest(path) {
-            Ok(n) => eprintln!("wrote manifest {path} ({n} graphs)"),
-            Err(e) => eprintln!("manifest write failed: {e}"),
-        }
+        write_manifest(engine, path, "");
     }
     served
 }

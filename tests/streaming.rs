@@ -218,6 +218,98 @@ fn http_metrics_scrape() {
     assert!(response.contains("fairsqg_workers"), "{response}");
 }
 
+fn scrape(addr: &str) -> String {
+    let mut sock = TcpStream::connect(addr).unwrap();
+    sock.write_all(b"GET /metrics HTTP/1.0\r\n").unwrap();
+    let mut response = String::new();
+    sock.take(1 << 20).read_to_string(&mut response).unwrap();
+    let (_, body) = response.split_once("\r\n\r\n").expect("HTTP body");
+    body.to_string()
+}
+
+/// Parses an exposition into `sample name → (type, value)`, asserting
+/// the text-format grammar on the way: every sample is a valid metric
+/// name with an optional `{value="…"}` label and a numeric value, and
+/// directly follows the `# TYPE` line of its metric.
+fn parse_exposition(text: &str) -> std::collections::BTreeMap<String, (String, f64)> {
+    let valid_name = |n: &str| {
+        n.chars().enumerate().all(|(i, c)| {
+            c.is_ascii_alphabetic() || c == '_' || c == ':' || (i > 0 && c.is_ascii_digit())
+        }) && !n.is_empty()
+    };
+    let mut samples = std::collections::BTreeMap::new();
+    let mut typed: Option<(String, String)> = None;
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').expect("TYPE line has a kind");
+            assert!(valid_name(name), "bad metric name in {line:?}");
+            assert!(kind == "counter" || kind == "gauge", "bad type in {line:?}");
+            typed = Some((name.to_string(), kind.to_string()));
+            continue;
+        }
+        if line.starts_with('#') || line.is_empty() {
+            continue;
+        }
+        let (sample, value) = line.rsplit_once(' ').expect("sample has a value");
+        let value: f64 = value
+            .parse()
+            .unwrap_or_else(|_| panic!("bad value: {line:?}"));
+        let name = match sample.split_once('{') {
+            Some((name, labels)) => {
+                assert!(
+                    labels.starts_with("value=\"") && labels.ends_with("\"}"),
+                    "bad labels in {line:?}"
+                );
+                name
+            }
+            None => sample,
+        };
+        assert!(valid_name(name), "bad metric name in {line:?}");
+        let (typed_name, kind) = typed.take().unwrap_or_else(|| panic!("untyped: {line:?}"));
+        assert_eq!(typed_name, name, "TYPE line names another metric");
+        samples.insert(sample.to_string(), (kind, value));
+    }
+    samples
+}
+
+/// `/metrics` types every declared counter as a Prometheus `counter`
+/// and everything else as a `gauge`, and counters never go down across
+/// a job.
+#[test]
+fn metrics_are_typed_and_counters_are_monotone() {
+    let (addr, _engine) = serve(60, 6);
+    let before = parse_exposition(&scrape(&addr));
+    let client = MuxClient::connect(&addr).unwrap();
+    let done = client
+        .submit_streaming(&spec("g", None))
+        .unwrap()
+        .wait(Duration::from_secs(120))
+        .unwrap();
+    assert_eq!(done.state, "done");
+    let after = parse_exposition(&scrape(&addr));
+
+    for (name, kind) in [
+        ("fairsqg_submitted", "counter"),
+        ("fairsqg_robustness_job_panics", "counter"),
+        ("fairsqg_matching_cand_memo_hits", "counter"),
+        ("fairsqg_queue_depth", "gauge"),
+        ("fairsqg_latency_generate_count", "gauge"),
+    ] {
+        assert_eq!(after[name].0, kind, "{name}");
+    }
+    // Gauges with no value yet (a null service-time estimate) appear
+    // later; nothing disappears and counters never go down.
+    for (name, (kind, value)) in &before {
+        let (after_kind, after_value) = &after[name];
+        assert_eq!(kind, after_kind, "{name} changed type");
+        if kind == "counter" {
+            assert!(after_value >= value, "counter {name} went down");
+        }
+    }
+    assert!(after["fairsqg_submitted"].1 > before["fairsqg_submitted"].1);
+    assert!(after["fairsqg_evaluator_cache_verified"].1 > 0.0);
+}
+
 /// A reply with an unknown `rid` is a typed [`ClientError::UnexpectedFrame`]
 /// — the connection is desynchronized, not silently wrong.
 #[test]
